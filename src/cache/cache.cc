@@ -441,8 +441,6 @@ Cache::handleWriteback(const MemAccess &req)
 void
 Cache::runPrefetcher(const MemAccess &req, bool hit)
 {
-    if (!prefetcher_)
-        return;
     prefetchBuf_.clear();
     // Devirtualized observe(): this runs once per demand access.
     switch (config_.prefetcher) {
@@ -621,7 +619,8 @@ Cache::access(const MemAccess &req)
     }
 
     if (!is_prefetch) {
-        runPrefetcher(req, result.hit);
+        if (prefetcher_)
+            runPrefetcher(req, result.hit);
         if (hook_)
             hook_->onAccess(*this, set, req.core, req.cycle);
     }

@@ -7,6 +7,11 @@
 namespace pinte
 {
 
+namespace detail
+{
+std::atomic<bool> faultMaybeArmed{true};
+} // namespace detail
+
 namespace
 {
 
@@ -27,9 +32,14 @@ struct FaultPlan
         kind.clear();
         nth = 1;
         hits.store(0, std::memory_order_relaxed);
-        if (!spec || !*spec)
-            return;
-        const std::string s(spec);
+        if (spec && *spec)
+            parseArmed(spec);
+        detail::faultMaybeArmed.store(armed, std::memory_order_relaxed);
+    }
+
+    void
+    parseArmed(const std::string &s)
+    {
         const auto colon = s.rfind(':');
         kind = s.substr(0, colon);
         if (colon != std::string::npos) {
@@ -54,7 +64,7 @@ plan()
 } // namespace
 
 bool
-faultInjected(const char *kind)
+detail::faultInjectedSlow(const char *kind)
 {
     FaultPlan &p = plan();
     if (!p.armed || p.kind != kind)

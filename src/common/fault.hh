@@ -5,9 +5,10 @@
  * Setting PINTE_INJECT_FAULT=kind:nth arms exactly one fault: the nth
  * dynamic hit of the injection site named `kind` (1-based; ":nth"
  * defaults to 1) reports true and the site raises its natural typed
- * error. The hook is compiled in unconditionally — when the variable
- * is unset the cost per site is one branch on a cached bool — so CI
- * and release binaries exercise identical code paths.
+ * error. The hook is compiled in unconditionally — when no fault is
+ * armed the cost per site is one relaxed atomic load and a branch,
+ * inlined like TraceEvents::on() — so CI and release binaries exercise
+ * identical code paths.
  *
  * Sites wired today:
  *  - "job"          ExperimentSpec::runAll() entry — a whole
@@ -58,14 +59,35 @@
 #ifndef PINTE_COMMON_FAULT_HH
 #define PINTE_COMMON_FAULT_HH
 
+#include <atomic>
+
 namespace pinte
 {
+
+namespace detail
+{
+/**
+ * False once the fault plan is known to be disarmed. It starts true so
+ * that the first faultInjected() call parses PINTE_INJECT_FAULT, in
+ * whatever order static initialisers run; armFault() keeps it current.
+ */
+extern std::atomic<bool> faultMaybeArmed;
+
+/** The armed-plan path of faultInjected(). */
+bool faultInjectedSlow(const char *kind);
+} // namespace detail
 
 /**
  * True exactly once: on the nth dynamic hit of the armed site.
  * Always false when PINTE_INJECT_FAULT is unset or names another site.
+ * Hot-path guard: one load while disarmed.
  */
-bool faultInjected(const char *kind);
+inline bool
+faultInjected(const char *kind)
+{
+    return detail::faultMaybeArmed.load(std::memory_order_relaxed) &&
+           detail::faultInjectedSlow(kind);
+}
 
 /**
  * True when the armed plan names `kind` and its nth (1-based) selects

@@ -1,7 +1,5 @@
 #include "histogram.hh"
 
-#include <bit>
-
 #include "logging.hh"
 
 namespace pinte
@@ -82,16 +80,9 @@ Log2Histogram::fromCounts(const std::vector<std::uint64_t> &counts)
 }
 
 void
-Log2Histogram::add(std::uint64_t value, std::uint64_t count)
+Log2Histogram::grow(std::size_t b)
 {
-    // bit_width(0) == 0, bit_width(v) == floorLog2(v) + 1 otherwise,
-    // which is exactly the bucket numbering documented in the header.
-    const std::size_t b =
-        static_cast<std::size_t>(std::bit_width(value));
-    if (b >= counts_.size())
-        counts_.resize(b + 1, 0);
-    counts_[b] += count;
-    total_ += count;
+    counts_.resize(b + 1, 0);
 }
 
 void

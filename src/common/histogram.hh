@@ -10,6 +10,7 @@
 #ifndef PINTE_COMMON_HISTOGRAM_HH
 #define PINTE_COMMON_HISTOGRAM_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -99,7 +100,17 @@ class Log2Histogram
     fromCounts(const std::vector<std::uint64_t> &counts);
 
     /** Record `count` observations of `value`. */
-    void add(std::uint64_t value, std::uint64_t count = 1);
+    void
+    add(std::uint64_t value, std::uint64_t count = 1)
+    {
+        // bit_width(0) == 0, bit_width(v) == floorLog2(v) + 1 otherwise,
+        // which is exactly the bucket numbering documented above.
+        const auto b = static_cast<std::size_t>(std::bit_width(value));
+        if (b >= counts_.size())
+            grow(b);
+        counts_[b] += count;
+        total_ += count;
+    }
 
     /** Number of buckets currently allocated (highest used + 1). */
     std::size_t size() const { return counts_.size(); }
@@ -128,6 +139,9 @@ class Log2Histogram
     const std::vector<std::uint64_t> &counts() const { return counts_; }
 
   private:
+    /** Allocate buckets up to and including `b`. */
+    void grow(std::size_t b);
+
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
 };

@@ -20,9 +20,10 @@ toString(BlockSelectPolicy p)
 }
 
 PInte::PInte(const PInteConfig &config)
-    : config_(config), rng_(config.seed)
+    : config_(config), rng_(config.seed),
+      triggerT_(Rng::unitThreshold(config.pInduce))
 {
-    if (config.pInduce < 0.0 || config.pInduce > 1.0)
+    if (!(config.pInduce >= 0.0 && config.pInduce <= 1.0))
         throw ConfigError("P_Induce must lie in [0, 1]",
                           {"pinte", "", std::to_string(config.pInduce)});
 }
@@ -34,8 +35,9 @@ PInte::onAccess(Cache &cache, unsigned set, CoreId core, Cycle cycle)
     ++stats_.accessesSeen;
 
     // GEN-PROBABILITY: trigger ratio = random / max_random (eq. 2);
-    // exit unless the ratio falls below P_Induce.
-    if (rng_.drawUnit() >= config_.pInduce)
+    // exit unless the ratio falls below P_Induce (as the integer
+    // compare against its precomputed threshold, common/rng.hh).
+    if (!rng_.drawBelow(triggerT_))
         return;
     ++stats_.triggers;
 

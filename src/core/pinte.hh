@@ -155,6 +155,8 @@ class PInte : public ReplacementHook
   private:
     PInteConfig config_;
     Rng rng_;
+    /** Rng::unitThreshold(pInduce): drawBelow() is the trigger roll. */
+    std::uint64_t triggerT_;
     PInteStats stats_;
 };
 

@@ -1,6 +1,8 @@
 #include "core.hh"
 
 #include <algorithm>
+
+#include "common/error.hh"
 #include "common/invariant.hh"
 #include "common/stats.hh"
 
@@ -105,7 +107,8 @@ Core::dispatch(const TraceRecord &rec)
         stats_.totalLoadLatency += res.readyCycle - issue;
         complete = std::max(complete, res.readyCycle);
         loadRing_[loadRingHead_] = res.readyCycle;
-        loadRingHead_ = (loadRingHead_ + 1) % loadRing_.size();
+        if (++loadRingHead_ == loadRing_.size())
+            loadRingHead_ = 0;
     }
 
     // Stores drain through the store buffer after completion and do not
@@ -341,8 +344,17 @@ Core::loadState(SnapshotReader &r)
     lastRetireCycle_ = r.get64();
     retireAllowance_ = r.get64();
     lastFetchLine_ = r.get64();
-    loadRing_ = r.getVec64();
-    loadRingHead_ = static_cast<std::size_t>(r.get64());
+    std::vector<Cycle> ring = r.getVec64();
+    const std::uint64_t head = r.get64();
+    // The head wraps by compare and indexes the ring: both must match
+    // the configured MLP cap.
+    if (ring.size() != loadRing_.size() || head >= ring.size())
+        throw SimError("checkpoint load ring does not match the core's "
+                       "outstanding-load cap",
+                       {"core" + std::to_string(id_), "",
+                        std::to_string(ring.size())});
+    loadRing_ = std::move(ring);
+    loadRingHead_ = static_cast<std::size_t>(head);
     stats_.instructions = r.get64();
     stats_.cycles = r.get64();
     stats_.branches = r.get64();

@@ -37,23 +37,44 @@ SlotCalendar::book(Cycle t, unsigned count)
         count = 1;
     const std::size_t n = booked_.size();
     std::uint64_t s = t / gran_;
+    // Slot s + k lives at ring entry (s + k) % n: take the modulo once,
+    // then step a wrapping cursor alongside s.
+    std::size_t at = s % n;
     for (;;) {
-        bool free = true;
-        for (unsigned k = 0; k < count; ++k) {
-            if (booked_[(s + k) % n] == s + k + 1) {
-                free = false;
-                s = s + k + 1;
+        unsigned k = 0;
+        std::size_t probe = at;
+        for (; k < count; ++k) {
+            if (booked_[probe] == s + k + 1)
                 break;
-            }
+            if (++probe == n)
+                probe = 0;
         }
-        if (free) {
-            for (unsigned k = 0; k < count; ++k)
-                booked_[(s + k) % n] = s + k + 1;
+        if (k == count) {
+            for (unsigned j = 0; j < count; ++j) {
+                booked_[at] = s + j + 1;
+                if (++at == n)
+                    at = 0;
+            }
             // The first slot may start before t (slot-boundary
             // rounding); service begins no earlier than requested.
             return std::max<Cycle>(t, s * gran_);
         }
+        // Slot s + k is taken: retry from the slot after it.
+        s += k + 1;
+        at = probe + 1 == n ? 0 : probe + 1;
     }
+}
+
+void
+SlotCalendar::loadState(SnapshotReader &r)
+{
+    std::vector<std::uint64_t> ring = r.getVec64();
+    if (ring.size() != booked_.size())
+        throw SimError("checkpoint slot-calendar ring length differs "
+                       "from the configured " +
+                           std::to_string(booked_.size()) + " slots",
+                       {"dram", "", std::to_string(ring.size())});
+    booked_ = std::move(ring);
 }
 
 namespace
@@ -96,7 +117,7 @@ Dram::map(Addr line, unsigned &channel, unsigned &bank,
     // on one bank.
     channel = static_cast<unsigned>(line & (config_.channels - 1));
     const Addr in_chan = line >> floorLog2(config_.channels);
-    const Addr row_seq = in_chan / config_.linesPerRow;
+    const Addr row_seq = in_chan >> floorLog2(config_.linesPerRow);
     const unsigned bank_bits = floorLog2(config_.banksPerChannel);
     bank = static_cast<unsigned>(
         (row_seq ^ (row_seq >> bank_bits) ^ (row_seq >> (2 * bank_bits)))

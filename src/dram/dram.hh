@@ -125,7 +125,8 @@ class SlotCalendar
     /** @name Checkpoint support (the booked-slot ring) */
     /// @{
     void saveState(SnapshotWriter &w) const { w.putVec64(booked_); }
-    void loadState(SnapshotReader &r) { booked_ = r.getVec64(); }
+    /** Throws SimError unless the ring has the configured length. */
+    void loadState(SnapshotReader &r);
     /// @}
 
   private:

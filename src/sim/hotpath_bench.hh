@@ -5,7 +5,8 @@
  * The simulator's speed claims are only as good as their baselines, so
  * this module measures a fixed set of kernels — the end-to-end engine
  * on a multi-million-instruction file-trace run plus isolated
- * per-component loops (cache access, trace decode, LRU promote) — and
+ * per-component loops (cache access, trace decode, LRU promote, zoo
+ * trace generation, DRAM access) — and
  * emits the results as a `hotpath_bench` table through the existing
  * report sinks. The committed `BENCH_hotpath.json` at the repo root
  * accumulates one batch of rows per measurement point (label column),
@@ -102,6 +103,8 @@ std::uint64_t hotpathTraceDecodeOnce(const std::string &trace_path,
                                      std::uint64_t records);
 std::uint64_t hotpathLruPromoteOnce(std::uint64_t ops);
 std::uint64_t hotpathDrripInductionOnce(std::uint64_t accesses);
+std::uint64_t hotpathZooGenerateOnce(std::uint64_t records);
+std::uint64_t hotpathDramAccessOnce(std::uint64_t accesses);
 /// @}
 
 /**

@@ -15,6 +15,12 @@ namespace
 /** Bytes per generated instruction. */
 constexpr Addr instBytes = 4;
 
+// Thresholds of the generator's fixed Bernoulli probabilities.
+constexpr std::uint64_t secondLoadT = Rng::unitThreshold(0.08);
+constexpr std::uint64_t hasSrcT = Rng::unitThreshold(0.8);
+constexpr std::uint64_t biasHeldT = Rng::unitThreshold(0.9);
+constexpr std::uint64_t coinT = Rng::unitThreshold(0.5);
+
 } // namespace
 
 void
@@ -91,6 +97,36 @@ TraceGenerator::TraceGenerator(WorkloadSpec spec, std::uint64_t run_seed)
     for (auto &r : recentRegs_)
         r = 1;
 
+    // Per-phase mixes: later phases rotate the mix so phase changes are
+    // visible in the run-time metric series (Fig 7 relies on dynamic
+    // behavior).
+    for (std::uint32_t ph = 0; ph < 4; ++ph) {
+        double hot_frac = spec_.hotFraction;
+        double stream_f = spec_.streamFraction;
+        double stride_f = spec_.strideFraction;
+        double chase_f = spec_.chaseFraction;
+        if (ph == 1) {
+            hot_frac *= 0.5;
+            std::swap(stream_f, chase_f);
+        } else if (ph == 2) {
+            hot_frac = std::min(1.0, hot_frac * 1.5);
+            std::swap(stream_f, stride_f);
+        } else if (ph >= 3) {
+            hot_frac *= 0.75;
+        }
+        mix_[ph] = {Rng::unitThreshold(hot_frac),
+                    Rng::unitThreshold(stream_f),
+                    Rng::unitThreshold(stream_f + stride_f),
+                    Rng::unitThreshold(stream_f + stride_f + chase_f)};
+    }
+    branchT_ = Rng::unitThreshold(
+        std::min(1.0, spec_.branchFraction * blockLen_));
+    loadT_ = Rng::unitThreshold(spec_.loadFraction);
+    storeT_ = Rng::unitThreshold(spec_.storeFraction);
+    depChainT_ = Rng::unitThreshold(spec_.depChain);
+    longLatT_ = Rng::unitThreshold(spec_.longLatFraction);
+    execLat2T_ = Rng::unitThreshold(spec_.meanExecLatency - 1.0);
+
     reset();
 }
 
@@ -124,37 +160,25 @@ TraceGenerator::phase() const
 std::uint64_t
 TraceGenerator::nextDataLine()
 {
-    const std::uint32_t ph = phase();
-    // Later phases rotate the mix so phase changes are visible in the
-    // run-time metric series (Fig 7 relies on dynamic behavior).
-    double hot_frac = spec_.hotFraction;
-    double stream_f = spec_.streamFraction;
-    double stride_f = spec_.strideFraction;
-    double chase_f = spec_.chaseFraction;
-    if (ph == 1) {
-        hot_frac *= 0.5;
-        std::swap(stream_f, chase_f);
-    } else if (ph == 2) {
-        hot_frac = std::min(1.0, hot_frac * 1.5);
-        std::swap(stream_f, stride_f);
-    } else if (ph >= 3) {
-        hot_frac *= 0.75;
-    }
+    const PhaseMix &mix = mix_[std::min<std::uint32_t>(phase(), 3)];
 
-    if (spec_.hotLines > 0 && rng_.drawBool(hot_frac))
+    if (spec_.hotLines > 0 && rng_.drawBelow(mix.hot))
         return rng_.drawRange(spec_.hotLines);
 
-    const double r = rng_.drawUnit();
+    // One uniform draw picks the pattern component.
+    const std::uint64_t r = rng_.next() >> 11;
     const std::uint64_t n = spec_.footprintLines;
-    if (r < stream_f) {
-        seqCursor_ = (seqCursor_ + 1) % n;
+    if (r < mix.stream) {
+        if (++seqCursor_ == n)
+            seqCursor_ = 0;
         return seqCursor_;
     }
-    if (r < stream_f + stride_f) {
+    if (r < mix.stride) {
+        // The step may exceed the footprint, so this wrap keeps `%`.
         strideCursor_ = (strideCursor_ + spec_.strideLines) % n;
         return strideCursor_;
     }
-    if (r < stream_f + stride_f + chase_f) {
+    if (r < mix.chase) {
         chaseCursor_ = chaseNext_[chaseCursor_];
         return chaseCursor_;
     }
@@ -174,13 +198,15 @@ TraceGenerator::fillBranch(TraceRecord &r)
         r.branchTaken = (s.counter % s.period) != 0;
         break;
       case BranchSite::Kind::Biased:
-        r.branchTaken = rng_.drawBool(0.9) ? s.biasTaken : !s.biasTaken;
+        r.branchTaken = rng_.drawBelow(biasHeldT) ? s.biasTaken
+                                                  : !s.biasTaken;
         break;
       case BranchSite::Kind::Random:
-        r.branchTaken = rng_.drawBool(0.5);
+        r.branchTaken = rng_.drawBelow(coinT);
         break;
     }
-    siteIdx_ = (siteIdx_ + 1) % sites_.size();
+    if (++siteIdx_ == sites_.size())
+        siteIdx_ = 0;
     ip_ = r.branchTaken ? s.target
                         : s.ip + instBytes;
 }
@@ -192,8 +218,7 @@ TraceGenerator::next()
     r.ip = ip_;
 
     const bool block_end = (blockPos_ + 1 >= blockLen_);
-    const bool is_branch = block_end && rng_.drawBool(
-        std::min(1.0, spec_.branchFraction * blockLen_));
+    const bool is_branch = block_end && rng_.drawBelow(branchT_);
 
     if (is_branch) {
         fillBranch(r);
@@ -210,17 +235,17 @@ TraceGenerator::next()
     }
 
     // Memory operands.
-    if (rng_.drawBool(spec_.loadFraction)) {
+    if (rng_.drawBelow(loadT_)) {
         r.loadAddr[r.numLoads++] =
             spec_.dataBase + nextDataLine() * blockSize +
             rng_.drawRange(blockSize / 8) * 8;
         // A small share of instructions carry a second load (gather-ish).
-        if (rng_.drawBool(0.08)) {
+        if (rng_.drawBelow(secondLoadT)) {
             r.loadAddr[r.numLoads++] =
                 spec_.dataBase + nextDataLine() * blockSize;
         }
     }
-    if (rng_.drawBool(spec_.storeFraction)) {
+    if (rng_.drawBelow(storeT_)) {
         r.storeAddr[r.numStores++] =
             spec_.dataBase + nextDataLine() * blockSize +
             rng_.drawRange(blockSize / 8) * 8;
@@ -230,8 +255,8 @@ TraceGenerator::next()
     // follows a recent producer with probability depChain.
     r.dstReg = static_cast<std::uint8_t>(1 + rng_.drawRange(numArchRegs - 1));
     for (int i = 0; i < 2; ++i) {
-        if (rng_.drawBool(0.8)) {
-            if (rng_.drawBool(spec_.depChain)) {
+        if (rng_.drawBelow(hasSrcT)) {
+            if (rng_.drawBelow(depChainT_)) {
                 r.srcReg[i] = recentRegs_[(recentHead_ + 7) % 8];
             } else {
                 r.srcReg[i] = static_cast<std::uint8_t>(
@@ -243,10 +268,10 @@ TraceGenerator::next()
     recentHead_ = (recentHead_ + 1) % 8;
 
     // Execution latency: mostly single-cycle with a long-latency tail.
-    if (rng_.drawBool(spec_.longLatFraction)) {
+    if (rng_.drawBelow(longLatT_)) {
         r.execLatency = static_cast<std::uint8_t>(8 + rng_.drawRange(8));
     } else {
-        r.execLatency = rng_.drawBool(spec_.meanExecLatency - 1.0) ? 2 : 1;
+        r.execLatency = rng_.drawBelow(execLat2T_) ? 2 : 1;
     }
 
     ++generated_;
@@ -294,6 +319,13 @@ TraceGenerator::loadState(SnapshotReader &r)
                        {"generator", "", std::to_string(nsites)});
     for (BranchSite &s : sites_)
         s.counter = r.get32();
+    // The cursors wrap by compare, not `%`, and index the chase cycle
+    // and the site table: a restored one must lie inside its range.
+    const std::uint64_t n = spec_.footprintLines;
+    if (seqCursor_ >= n || strideCursor_ >= n || chaseCursor_ >= n ||
+        siteIdx_ >= sites_.size())
+        throw SimError("checkpoint generator cursor out of range",
+                       {"generator", "", spec_.name});
 }
 
 VectorTraceSource::VectorTraceSource(std::vector<TraceRecord> records)

@@ -105,6 +105,20 @@ class TraceGenerator : public TraceSource
     std::uint64_t generated() const { return generated_; }
 
   private:
+    /**
+     * One phase's data-reference mix as Rng::unitThreshold cut points:
+     * drawUnit() < f holds exactly when drawBelow(unitThreshold(f)).
+     * The cut points are thresholds of the same double sums of the
+     * phase-adjusted fractions that a drawUnit() would be compared to.
+     */
+    struct PhaseMix
+    {
+        std::uint64_t hot;    //!< hot-set overlay
+        std::uint64_t stream; //!< below: sequential
+        std::uint64_t stride; //!< below: strided (stream + stride)
+        std::uint64_t chase;  //!< below: chase (stream + stride + chase)
+    };
+
     /** Pick the next data line according to the phase-adjusted mix. */
     std::uint64_t nextDataLine();
 
@@ -117,6 +131,17 @@ class TraceGenerator : public TraceSource
     WorkloadSpec spec_;
     std::uint64_t runSeed_;
     Rng rng_;
+
+    /** Mixes of phases 0, 1, 2 and 3+ (phase() >= 3 all share one). */
+    PhaseMix mix_[4];
+
+    // Bernoulli thresholds of the spec's per-instruction probabilities.
+    std::uint64_t branchT_;   //!< a block end is a branch
+    std::uint64_t loadT_;     //!< loadFraction
+    std::uint64_t storeT_;    //!< storeFraction
+    std::uint64_t depChainT_; //!< depChain
+    std::uint64_t longLatT_;  //!< longLatFraction
+    std::uint64_t execLat2T_; //!< meanExecLatency - 1: latency 2, not 1
 
     std::uint64_t generated_ = 0;
 

@@ -17,11 +17,14 @@
 #include "expect_error.hh"
 
 #include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <memory>
+#include <vector>
 
 #include "common/crc32.hh"
 #include "common/snapshot.hh"
+#include "cpu/core.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/options.hh"
@@ -341,6 +344,54 @@ TEST(CheckpointFormat, AdHocTraceSourceCannotCheckpoint)
     } src;
     SnapshotWriter w;
     EXPECT_ERROR(src.saveState(w), SimError, "checkpoint");
+}
+
+TEST(CheckpointFormat, GeneratorCursorOutOfRangeRejected)
+{
+    // The pattern cursors wrap by compare, not `%`, and index the
+    // chase cycle: a restored cursor past the footprint is refused.
+    const WorkloadSpec spec = findWorkload("450.soplex");
+    TraceGenerator g(spec);
+    for (int i = 0; i < 1000; ++i)
+        (void)g.next();
+    SnapshotWriter good;
+    g.saveState(good);
+
+    // saveState() writes the RNG (four words), the instruction count,
+    // then the sequential cursor.
+    std::vector<std::uint8_t> bytes = good.bytes();
+    SnapshotWriter cursor;
+    cursor.put64(spec.footprintLines);
+    std::copy(cursor.bytes().begin(), cursor.bytes().end(),
+              bytes.begin() + 5 * 8);
+    SnapshotReader bad(bytes);
+    TraceGenerator fresh(spec);
+    EXPECT_ERROR(fresh.loadState(bad), SimError, "cursor out of range");
+
+    SnapshotReader ok(good.bytes());
+    fresh.loadState(ok);
+    EXPECT_EQ(fresh.next().ip, g.next().ip);
+}
+
+TEST(CheckpointFormat, CoreLoadRingOfOtherLengthRejected)
+{
+    // The outstanding-load ring's head wraps by compare: a ring saved
+    // under another MLP cap cannot be restored.
+    const WorkloadSpec spec = findWorkload("450.soplex");
+    TraceGenerator src(spec);
+    CoreConfig narrow;
+    narrow.maxOutstandingLoads = 4;
+    CoreConfig wide;
+    wide.maxOutstandingLoads = 8;
+    Core a(narrow, 0, &src, nullptr, nullptr);
+    a.runInstructions(500);
+    SnapshotWriter w;
+    a.saveState(w);
+
+    TraceGenerator src2(spec);
+    Core b(wide, 0, &src2, nullptr, nullptr);
+    SnapshotReader r(w.bytes());
+    EXPECT_ERROR(b.loadState(r), SimError, "load ring");
 }
 
 TEST(CheckpointResume, ExperimentResumesBitwiseIdentical)

@@ -7,6 +7,10 @@
 
 #include "expect_error.hh"
 
+#include <cstddef>
+#include <vector>
+
+#include "common/snapshot.hh"
 #include "dram/dram.hh"
 
 using namespace pinte;
@@ -219,4 +223,54 @@ TEST(Dram, NonPowerOfTwoGeometryIsFatal)
     DramConfig c = cfg();
     c.banksPerChannel = 3;
     EXPECT_ERROR(Dram d(c), ConfigError, "powers of two");
+}
+
+namespace
+{
+
+/**
+ * A hand-built Dram snapshot for cfg(): closed banks, every bank and
+ * bus calendar ring `ring_slots` long, zeroed counters.
+ */
+SnapshotReader
+snapshotWithRings(std::size_t ring_slots)
+{
+    const DramConfig c = cfg();
+    const std::size_t banks = std::size_t(c.channels) * c.banksPerChannel;
+    SnapshotWriter w;
+    for (std::size_t b = 0; b < banks; ++b) {
+        w.put64(~std::uint64_t(0));
+        w.putBool(false);
+    }
+    for (std::size_t i = 0; i < banks + c.channels; ++i)
+        w.putVec64(std::vector<std::uint64_t>(ring_slots, 0));
+    for (unsigned core = 0; core < c.numCores; ++core)
+        for (int field = 0; field < 8; ++field)
+            w.put64(0);
+    return SnapshotReader(w.bytes());
+}
+
+} // namespace
+
+TEST(Dram, RestoreRejectsZeroLengthCalendarRing)
+{
+    // Accepting it left book() to take `% 0` on the next access: the
+    // process died of SIGFPE instead of reporting a bad checkpoint.
+    Dram d(cfg());
+    SnapshotReader r = snapshotWithRings(0);
+    EXPECT_ERROR(
+        {
+            d.loadState(r);
+            d.access(rdAccess(0));
+        },
+        SimError, "slot-calendar ring");
+}
+
+TEST(Dram, RestoreRejectsWrongLengthCalendarRing)
+{
+    // The bank ring is 16384 / 4 = 4096 slots; one short would move
+    // every slot's ring entry.
+    Dram d(cfg());
+    SnapshotReader r = snapshotWithRings(4095);
+    EXPECT_ERROR(d.loadState(r), SimError, "slot-calendar ring");
 }

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "common/rng.hh"
+#include "common/snapshot.hh"
 #include "core/pinte.hh"
 #include "dram/dram.hh"
 #include "sim/experiment.hh"
@@ -327,4 +332,85 @@ TEST(SlotCalendar, SaturationSerializes)
     for (int i = 0; i < 50; ++i)
         last = cal.book(0, 1);
     EXPECT_EQ(last, 49u * 2);
+}
+
+namespace
+{
+
+/**
+ * SlotCalendar::book as it was written before the ring cursor: `% n`
+ * on every slot probed and written. The reference the cursor version
+ * must match booking for booking.
+ */
+struct ModuloCalendar
+{
+    Cycle gran;
+    std::vector<std::uint64_t> booked;
+
+    Cycle
+    book(Cycle t, unsigned count)
+    {
+        if (count == 0)
+            count = 1;
+        const std::size_t n = booked.size();
+        std::uint64_t s = t / gran;
+        for (;;) {
+            bool free = true;
+            for (unsigned k = 0; k < count; ++k) {
+                if (booked[(s + k) % n] == s + k + 1) {
+                    free = false;
+                    s = s + k + 1;
+                    break;
+                }
+            }
+            if (free) {
+                for (unsigned k = 0; k < count; ++k)
+                    booked[(s + k) % n] = s + k + 1;
+                return std::max<Cycle>(t, s * gran);
+            }
+        }
+    }
+};
+
+} // namespace
+
+TEST(SlotCalendar, CursorBookingMatchesModuloReference)
+{
+    // The bank ring (4-cycle slots), the bus ring at transfer 2 and
+    // at transfer 3 (16384 / 3 slots, not a power of two), and a ring
+    // shorter than the longest booking.
+    struct Ring
+    {
+        Cycle gran;
+        std::size_t slots;
+    };
+    for (const Ring ring : {Ring{4, 4096}, Ring{2, 8192}, Ring{3, 5461},
+                            Ring{4, 7}}) {
+        SlotCalendar cal(ring.gran, ring.slots);
+        ModuloCalendar ref{ring.gran,
+                           std::vector<std::uint64_t>(ring.slots, 0)};
+        Rng rng(ring.slots);
+        const Cycle window = ring.gran * ring.slots;
+        Cycle now = 0;
+        for (int i = 0; i < 1000000; ++i) {
+            // 0..13 slots (0 books one), as a bank or bus booking
+            // asks; the clock advances about 8 slots a booking, so
+            // rings stay busy without a runaway backlog and wrap many
+            // times over. Requests land behind and ahead of the clock,
+            // and now and then a whole window or more ahead, so ring
+            // entries alias across wraps.
+            const auto count = static_cast<unsigned>(rng.drawRange(14));
+            now += rng.drawRange(16 * ring.gran);
+            Cycle t = now + rng.drawRange(64 * ring.gran);
+            t = t > 32 * ring.gran ? t - 32 * ring.gran : 0;
+            if (rng.drawRange(64) == 0)
+                t += window * (1 + rng.drawRange(3));
+            ASSERT_EQ(cal.book(t, count), ref.book(t, count))
+                << ring.slots << "-slot ring, booking " << i;
+        }
+        SnapshotWriter got, want;
+        cal.saveState(got);
+        want.putVec64(ref.booked);
+        EXPECT_EQ(got.bytes(), want.bytes()) << ring.slots << "-slot ring";
+    }
 }

@@ -251,6 +251,7 @@ TEST(PInte, OutOfRangeProbabilityIsFatal)
 {
     EXPECT_ERROR(PInte({1.5, 1}), ConfigError, "P_Induce");
     EXPECT_ERROR(PInte({-0.1, 1}), ConfigError, "P_Induce");
+    EXPECT_ERROR(PInte({std::nan(""), 1}), ConfigError, "P_Induce");
 }
 
 TEST(PInte, StandardSweepHasTwelveAscendingPoints)

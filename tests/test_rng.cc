@@ -179,3 +179,82 @@ TEST(Rng, DrawExponentialZeroMean)
     EXPECT_EQ(r.drawExponential(0.0, 100), 0u);
     EXPECT_EQ(r.drawExponential(-1.0, 100), 0u);
 }
+
+namespace
+{
+
+/** The probabilities at and around the edges of unitThreshold(). */
+std::vector<double>
+edgeProbabilities()
+{
+    return {0.0,  0x1.0p-54, 0x1.0p-53, 0.08, 0.5, 0.9,
+            std::nextafter(1.0, 0.0), 1.0, 1.5, -0.2, std::nan("")};
+}
+
+/**
+ * The identity drawBelow() rests on, checked at the threshold itself:
+ * the largest 53-bit draw below it passes drawBool(p)'s compare and
+ * the threshold draw fails it.
+ */
+void
+expectExactThreshold(double p)
+{
+    const std::uint64_t t = Rng::unitThreshold(p);
+    ASSERT_LE(t, std::uint64_t(1) << 53) << "p=" << p;
+    if (t > 0) {
+        EXPECT_TRUE(static_cast<double>(t - 1) * 0x1.0p-53 < p)
+            << "p=" << p;
+    }
+    if (t < (std::uint64_t(1) << 53)) {
+        EXPECT_FALSE(static_cast<double>(t) * 0x1.0p-53 < p)
+            << "p=" << p;
+    }
+}
+
+} // namespace
+
+static_assert(Rng::unitThreshold(0.5) == std::uint64_t(1) << 52);
+static_assert(Rng::unitThreshold(1.0) == std::uint64_t(1) << 53);
+static_assert(Rng::unitThreshold(0x1.0p-54) == 1);
+static_assert(Rng::unitThreshold(-0.0) == 0);
+
+TEST(Rng, UnitThresholdIsExactAtEdges)
+{
+    for (const double p : edgeProbabilities())
+        expectExactThreshold(p);
+}
+
+TEST(Rng, UnitThresholdIsExactForRandomProbabilities)
+{
+    // drawUnit() values are multiples of 2^-53, where a rounding slip
+    // in the threshold would show; also their neighbours one ulp away,
+    // and scaled-down values that fall between the multiples.
+    Rng pick(53);
+    for (int i = 0; i < 100000; ++i) {
+        const double p = pick.drawUnit();
+        expectExactThreshold(p);
+        expectExactThreshold(std::nextafter(p, 0.0));
+        expectExactThreshold(std::nextafter(p, 1.0));
+        expectExactThreshold(std::ldexp(p, -(i % 64)));
+    }
+}
+
+TEST(Rng, DrawBelowMatchesDrawBoolInLockstep)
+{
+    for (const double p : edgeProbabilities()) {
+        Rng a(61), b(61);
+        const std::uint64_t t = Rng::unitThreshold(p);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(a.drawBelow(t), b.drawBool(p))
+                << "p=" << p << " draw " << i;
+        EXPECT_EQ(a.state(), b.state());
+    }
+    // A fresh random p on every draw.
+    Rng a(67), b(67), pick(71);
+    for (int i = 0; i < 1000000; ++i) {
+        const double p = pick.drawUnit();
+        ASSERT_EQ(a.drawBelow(Rng::unitThreshold(p)), b.drawBool(p))
+            << "p=" << p << " draw " << i;
+    }
+    EXPECT_EQ(a.state(), b.state());
+}
