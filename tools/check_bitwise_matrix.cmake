@@ -3,10 +3,11 @@
 # Runs pintesim across a configuration matrix chosen to light up every
 # hot-path subsystem the engine refactors touch — all replacement
 # policies, every inclusion mode, prefetchers on and off, PInTE scopes,
-# pair co-runs, an isolation run, a sweep, and a full --report machine
-# dump with paranoid audits — and asserts each JSON report is identical
-# (modulo cpu_seconds, see check_bitwise.py) to the golden captured in
-# tests/golden/bitwise/ with the pre-refactor engine.
+# pair co-runs, an isolation run, a sweep, a --policies contention
+# grid, and a full --report machine dump with paranoid audits — and
+# asserts each JSON report is identical (modulo cpu_seconds, see
+# check_bitwise.py) to the golden captured in tests/golden/bitwise/
+# with the pre-refactor engine.
 #
 # Invoked from tools/CMakeLists.txt with -DPINTESIM=... -DPYTHON=...
 # -DCHECKER=<check_bitwise.py> -DGOLDEN_DIR=... -DWORKDIR=...
@@ -32,13 +33,15 @@ set(matrix
     "random_iso|-w|401.bzip2|--isolation|--policy|random|--seed|3"
     "l2scope_sweep|-w|444.namd|--sweep|--scope|l2|--jobs|2|--seed|6"
     "lhd_pinte|-w|450.soplex|-p|0.3|--policy|lhd|--seed|8"
+    "policy_grid|-w|450.soplex|--sweep|--policies|lru,drrip,lhd|--seed|9"
 )
 
 foreach(entry IN LISTS matrix)
     string(REPLACE "|" ";" row "${entry}")
     list(POP_FRONT row name)
-    # The sweep's 12 runs make it the expensive row; shrink it.
-    if(name STREQUAL "l2scope_sweep")
+    # The sweeps' 12 (and the grid's 3 x 13) runs make them the
+    # expensive rows; shrink them.
+    if(name STREQUAL "l2scope_sweep" OR name STREQUAL "policy_grid")
         set(sizing --warmup 4000 --roi 12000)
     else()
         set(sizing --warmup 8000 --roi 30000)
