@@ -72,33 +72,14 @@ hotpathMain(int argc, char **argv)
         throw ConfigError("--label must not be empty",
                           {"bench_hotpath", "", ""});
 
-    // Load first so a malformed existing file fails before the (slow)
-    // measurement, not after it.
-    std::vector<HotpathEntry> merged = loadHotpathBaseline(out_path);
-    std::erase_if(merged, [&](const HotpathEntry &e) {
-        return e.label == opt.label;
-    });
-
     std::fprintf(stderr,
                  "bench_hotpath: measuring label '%s' (%u reps%s)\n",
                  opt.label.c_str(), opt.reps,
                  opt.quick ? ", quick" : "");
-    const std::vector<HotpathEntry> batch = runHotpathSuite(opt);
-    for (const HotpathEntry &e : batch)
-        std::fprintf(stderr, "  %-12s %12llu items  best %9.6f s  "
-                             "%12.0f /s\n",
-                     e.kernel.c_str(),
-                     static_cast<unsigned long long>(e.work),
-                     e.bestWallSeconds, e.ratePerSecond);
-    merged.insert(merged.end(), batch.begin(), batch.end());
-
-    Report rep(ReportFormat::Json, out_path,
-               {"bench_hotpath", hotpathMachine().fingerprint(),
-                ExperimentParams{}});
-    rep->table(hotpathTable(merged));
-    rep.close();
+    const std::size_t rows =
+        recordHotpathBaseline(out_path, opt, "bench_hotpath");
     std::fprintf(stderr, "bench_hotpath: wrote %zu entries to %s\n",
-                 merged.size(), out_path.c_str());
+                 rows, out_path.c_str());
     return 0;
 }
 

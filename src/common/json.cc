@@ -1,9 +1,11 @@
 #include "json.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace pinte
@@ -184,8 +186,12 @@ JsonValue::asDouble() const
 std::uint64_t
 JsonValue::asU64() const
 {
-    if (type != Type::Number)
-        fatal("json: expected a number");
+    if (type == Type::Number && exactU64)
+        return u64;
+    if (type != Type::Number || !(number >= 0.0) ||
+        number != std::floor(number) || number >= 0x1p64)
+        throw ConfigError("json: expected an unsigned 64-bit integer",
+                          {"json", "", jsonNumber(number)});
     return static_cast<std::uint64_t>(number);
 }
 
@@ -398,7 +404,8 @@ class Parser
             out.type = JsonValue::Type::Null;
             return literal("null");
         }
-        // Number.
+        // Number. Unsigned integer literals additionally parse
+        // exactly: a double rounds every u64 above 2^53.
         const char *start = text_.c_str() + pos_;
         char *end = nullptr;
         const double v = std::strtod(start, &end);
@@ -406,7 +413,13 @@ class Parser
             return fail("expected a value");
         out.type = JsonValue::Type::Number;
         out.number = v;
-        pos_ += static_cast<std::size_t>(end - start);
+        const std::size_t len = static_cast<std::size_t>(end - start);
+        if (text_.find_first_not_of("0123456789", pos_) >= pos_ + len) {
+            errno = 0;
+            out.u64 = std::strtoull(start, nullptr, 10);
+            out.exactU64 = errno != ERANGE;
+        }
+        pos_ += len;
         return true;
     }
 

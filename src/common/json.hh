@@ -91,6 +91,8 @@ struct JsonValue
     Type type = Type::Null;
     bool boolean = false;
     double number = 0.0;
+    std::uint64_t u64 = 0; //!< exact value of a u64 literal, if exactU64
+    bool exactU64 = false;
     std::string string;
     std::vector<JsonValue> array;
     std::vector<std::pair<std::string, JsonValue>> object;
@@ -107,6 +109,9 @@ struct JsonValue
     const JsonValue &at(const std::string &key) const;
 
     double asDouble() const;
+
+    /** The number as an exact u64. @throws ConfigError when it is not
+     *  a number, or is fractional, negative or at least 2^64 */
     std::uint64_t asU64() const;
     const std::string &asString() const;
 };

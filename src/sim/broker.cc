@@ -124,12 +124,11 @@ spawnLocalWorker(const std::vector<std::string> &argv)
     return pid;
 }
 
-/** A local worker child and when it was forked (exec-failure storms
- *  are recognized by children dying with 127 moments after spawn). */
+/** A local worker child, and whether it is known to have claimed. */
 struct ChildProc
 {
     pid_t pid;
-    double spawnedAt;
+    bool claimed;
 };
 
 } // namespace
@@ -138,8 +137,8 @@ std::vector<RunResult>
 runSpoolBroker(const std::string &campaignJson,
                const std::string &fingerprint,
                const std::vector<std::string> &cellKeys,
-               const BrokerOptions &opt, const ProcLabelFn &label,
-               const ProcResultFn &onResult, const BrokerLookupFn &lookup)
+               const BrokerOptions &opt, const ProcResultFn &onResult,
+               const BrokerLookupFn &lookup)
 {
     const std::size_t n = cellKeys.size();
     std::vector<RunResult> results(n);
@@ -282,9 +281,26 @@ runSpoolBroker(const std::string &campaignJson,
     StreamScanner scanner(spool);
     std::vector<ChildProc> children;
     std::set<pid_t> deadChildren;
-    unsigned execFailStreak = 0;
+    std::size_t spawned = 0;
+    // Local workers in a row that exited before their first claim,
+    // and how the last one ended.
+    unsigned preClaimExits = 0;
+    std::string preClaimLast;
     bool spawnBroken = false;
     const std::string myHost = spoolHostName();
+
+    const auto holdsLease = [&](pid_t pid) {
+        for (const auto &kv : shards) {
+            Lease lease;
+            if (!retired.count(kv.first) &&
+                spool.probeLease(kv.first, kv.second.token, lease) ==
+                    LeaseProbe::Valid &&
+                lease.host == myHost &&
+                static_cast<pid_t>(lease.pid) == pid)
+                return true;
+        }
+        return false;
+    };
 
     const auto reapChildren = [&](bool block) {
         for (auto it = children.begin(); it != children.end();) {
@@ -297,16 +313,19 @@ runSpoolBroker(const std::string &campaignJson,
                 // deadline (local children only — remote worker
                 // deaths are visible through lease expiry alone).
                 deadChildren.insert(it->pid);
-                // Exit 127 moments after the fork is exec itself
-                // failing (bad argv[0], missing binary): a streak of
-                // those means respawning is a fork storm, not
-                // capacity.
-                if (r == it->pid && WIFEXITED(status) &&
-                    WEXITSTATUS(status) == 127 &&
-                    spoolWallClock() - it->spawnedAt < 1.0)
-                    ++execFailStreak;
-                else
-                    execFailStreak = 0;
+                // A worker that dies before claiming anything holds
+                // no lease and uses no attempt, so nothing else ever
+                // stops its respawn: count the streak.
+                if (it->claimed || holdsLease(it->pid)) {
+                    preClaimExits = 0;
+                } else if (r == it->pid) {
+                    ++preClaimExits;
+                    preClaimLast =
+                        WIFSIGNALED(status)
+                            ? "signal " + std::to_string(WTERMSIG(status))
+                            : "exit status " +
+                                  std::to_string(WEXITSTATUS(status));
+                }
                 it = children.erase(it);
             } else {
                 ++it;
@@ -327,8 +346,6 @@ runSpoolBroker(const std::string &campaignJson,
             if (cell >= n || resolved[cell])
                 continue;
             RunResult q;
-            if (label)
-                label(cell, q);
             RunError &e = q.error;
             e.kind = "worker";
             e.component = "broker";
@@ -426,12 +443,21 @@ runSpoolBroker(const std::string &campaignJson,
             const double now = spoolWallClock();
 
             // Keep local worker capacity up (crashed workers respawn
-            // while work remains) — unless every recent child died
-            // instantly with exit 127 (exec failure): then respawning
-            // is a silent fork storm, so give up on local workers and
-            // rely on external ones instead of stalling forever.
+            // while work remains) — unless a streak of children died
+            // before their first claim: a fork storm. If exec fails
+            // (127) rely on external workers; a worker that runs and
+            // still dies unclaimed would on every respawn: abort.
             reapChildren(false);
-            if (!spawnBroken && execFailStreak >= 3) {
+            if (!spawnBroken && preClaimExits >= 3) {
+                if (preClaimLast != "exit status 127")
+                    throw SimError(
+                        "spool campaign aborted: " +
+                            std::to_string(preClaimExits) +
+                            " local workers in a row exited before "
+                            "claiming any shard (last: " + preClaimLast +
+                            "; " + std::to_string(spawned) +
+                            " workers spawned)",
+                        {"broker", opt.spool, preClaimLast});
                 spawnBroken = true;
                 warn("local workers exit 127 immediately (exec of " +
                      opt.workerArgv[0] +
@@ -443,8 +469,8 @@ runSpoolBroker(const std::string &campaignJson,
                     const pid_t pid = spawnLocalWorker(opt.workerArgv);
                     if (pid < 0)
                         break;
-                    children.push_back(
-                        ChildProc{pid, spoolWallClock()});
+                    ++spawned;
+                    children.push_back(ChildProc{pid, false});
                     deadChildren.erase(pid); // pid recycled by the OS
                 }
 
@@ -530,9 +556,10 @@ runSpoolBroker(const std::string &campaignJson,
                         lease.host + ", ttl " + fmtSecs(opt.leaseTtl) +
                         "s)";
                     if (lease.host == myHost)
-                        for (const ChildProc &c : children)
+                        for (ChildProc &c : children)
                             if (c.pid ==
                                 static_cast<pid_t>(lease.pid)) {
+                                c.claimed = true;
                                 ::kill(c.pid, SIGKILL);
                                 why += "; worker killed";
                                 break;

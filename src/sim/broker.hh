@@ -104,13 +104,13 @@ using BrokerLookupFn =
  * resolved, and return results in cell order. `campaignJson` is the
  * full campaign document; adopting an existing spool requires it to
  * match byte for byte. Throws ConfigError on a spool/campaign
- * mismatch; worker loss never throws — it quarantines.
+ * mismatch; worker loss never throws — it quarantines (the caller
+ * labels quarantined cells, which carry no run).
  */
 std::vector<RunResult> runSpoolBroker(
     const std::string &campaignJson, const std::string &fingerprint,
     const std::vector<std::string> &cellKeys, const BrokerOptions &opt,
-    const ProcLabelFn &label = {}, const ProcResultFn &onResult = {},
-    const BrokerLookupFn &lookup = {});
+    const ProcResultFn &onResult = {}, const BrokerLookupFn &lookup = {});
 
 /** Knobs of a spool worker. */
 struct SpoolWorkerOptions

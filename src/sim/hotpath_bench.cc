@@ -500,4 +500,30 @@ loadHotpathBaseline(const std::string &path)
     return out;
 }
 
+std::size_t
+recordHotpathBaseline(const std::string &path, const HotpathOptions &opt,
+                      const std::string &tool)
+{
+    // Load first so a malformed existing file fails before the (slow)
+    // measurement, not after it.
+    std::vector<HotpathEntry> merged = loadHotpathBaseline(path);
+    std::erase_if(merged, [&](const HotpathEntry &e) {
+        return e.label == opt.label;
+    });
+    const std::vector<HotpathEntry> batch = runHotpathSuite(opt);
+    for (const HotpathEntry &e : batch)
+        std::fprintf(stderr, "  %-12s %12llu items  best %9.6f s  "
+                             "%12.0f /s\n",
+                     e.kernel.c_str(),
+                     static_cast<unsigned long long>(e.work),
+                     e.bestWallSeconds, e.ratePerSecond);
+    merged.insert(merged.end(), batch.begin(), batch.end());
+
+    Report rep(ReportFormat::Json, path,
+               {tool, hotpathMachine().fingerprint(), ExperimentParams{}});
+    rep->table(hotpathTable(merged));
+    rep.close();
+    return merged.size();
+}
+
 } // namespace pinte

@@ -138,6 +138,13 @@ TableData hotpathTable(const std::vector<HotpathEntry> &entries);
  */
 std::vector<HotpathEntry> loadHotpathBaseline(const std::string &path);
 
+/** Measure the suite and merge the batch into the baseline at `path`
+ *  (rows labelled `opt.label` are replaced, the rest kept exactly);
+ *  `tool` names the writer. Returns the merged row count. */
+std::size_t recordHotpathBaseline(const std::string &path,
+                                  const HotpathOptions &opt,
+                                  const std::string &tool);
+
 } // namespace pinte
 
 #endif // PINTE_SIM_HOTPATH_BENCH_HH

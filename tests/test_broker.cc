@@ -13,6 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -24,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/json.hh"
 #include "sim/broker.hh"
 #include "sim/shard_queue.hh"
@@ -609,6 +615,77 @@ TEST(Broker, UnexecableWorkerArgvDoesNotStallCampaign)
         EXPECT_FALSE(results[i].failed()) << results[i].error.message;
         EXPECT_EQ(canonical(results[i]), canonical(syntheticResult(i)));
     }
+}
+
+/**
+ * A local worker that runs but dies before claiming anything (here: a
+ * shell that exits 1; in the field, a worker refusing a campaign whose
+ * cell keys it derives differently) holds no lease and uses no retry
+ * attempt. The broker must recognize the streak and abort with a
+ * typed error naming the exit status and the spawn count, within a
+ * bounded number of spawns, instead of respawning forever.
+ */
+TEST(Broker, WorkersDyingBeforeFirstClaimAbortCampaign)
+{
+    const std::string root = freshSpool("preclaim_exit");
+    const auto keys = syntheticKeys(2);
+    BrokerOptions opt = brokerOptions(root);
+    opt.workers = 2;
+    opt.workerArgv = {"/bin/sh", "-c", "exit 1"};
+
+    // The broker runs in a child process so that a broker which never
+    // returns fails the test at the deadline instead of hanging it.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::close(fds[0]);
+        std::string msg = "returned without error";
+        int code = 2;
+        try {
+            runSpoolBroker(kDoc, kFp, keys, opt);
+        } catch (const SimError &e) {
+            msg = e.what();
+            code = 0;
+        } catch (const std::exception &e) {
+            msg = std::string("untyped error: ") + e.what();
+        }
+        (void)!::write(fds[1], msg.data(), msg.size());
+        std::_Exit(code);
+    }
+    ::close(fds[1]);
+
+    int status = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            ::close(fds[0]);
+            FAIL() << "broker still respawning dying workers after 30 s";
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    std::string msg;
+    char buf[512];
+    for (ssize_t n; (n = ::read(fds[0], buf, sizeof(buf))) > 0;)
+        msg.append(buf, static_cast<std::size_t>(n));
+    ::close(fds[0]);
+
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << msg;
+    EXPECT_NE(msg.find("before claiming any shard"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("exit status 1"), std::string::npos) << msg;
+    // Bounded: the streak limit plus one refill of the worker slots.
+    const auto at = msg.find(" workers spawned");
+    ASSERT_NE(at, std::string::npos) << msg;
+    const auto from = msg.rfind(' ', at - 1) + 1;
+    const unsigned long spawns = std::stoul(msg.substr(from, at - from));
+    EXPECT_GE(spawns, 3u) << msg;
+    EXPECT_LE(spawns, 3u + opt.workers) << msg;
 }
 
 } // namespace

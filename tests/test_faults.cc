@@ -33,6 +33,7 @@
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/json.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/options.hh"
@@ -529,6 +530,38 @@ TEST(Journal, FailedRunsAreNeverJournaled)
     RunJournal journal(path);
     // A resumed campaign must retry the failed cell.
     EXPECT_EQ(journal.find("some-key"), nullptr);
+    std::remove(path.c_str());
+}
+
+/**
+ * A pair run the other way round, or another mix of the same size, is a
+ * different simulation with the same contention label: no core of one
+ * multi-core cell may be served from another cell's journal entries.
+ */
+TEST(Journal, MultiCoreCellsNeverShareKeys)
+{
+    const std::string path = tempPath("pairs.jsonl");
+    std::remove(path.c_str());
+    const WorkloadSpec a = findWorkload("450.soplex");
+    const WorkloadSpec b = findWorkload("470.lbm");
+    const WorkloadSpec c = findWorkload("429.mcf");
+    const MachineConfig m = MachineConfig::scaled();
+    ExperimentSpec ab(m), ba(m), abc(m), acb(m);
+    ab.workload(a).secondTrace(b).params(quickParams());
+    ba.workload(b).secondTrace(a).params(quickParams());
+    abc.mix({a, b, c});
+    acb.mix({a, c, b});
+    EXPECT_NE(cellKey(ab, 1), cellKey(ba, 0));
+    EXPECT_NE(cellKey(ab, 0), cellKey(ba, 1));
+    EXPECT_NE(cellKey(abc, 0), cellKey(acb, 0));
+
+    RunJournal journal(path);
+    ASSERT_EQ(runJournaledCell(ab, &journal).size(), 2u);
+    const std::vector<RunResult> fresh = ba.runAll();
+    const std::vector<RunResult> served = runJournaledCell(ba, &journal);
+    ASSERT_EQ(served.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+        expectSameSimulation(served[i], fresh[i]);
     std::remove(path.c_str());
 }
 

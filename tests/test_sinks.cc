@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/error.hh"
 #include "common/json.hh"
 #include "sim/experiment.hh"
 #include "sim/sink.hh"
@@ -552,6 +553,43 @@ TEST(Sinks, RegistryMatchesLegacyPair)
     for (unsigned c = 0; c < 2; ++c)
         expectMetricsEqual(computeRunMetrics(sys, c),
                            computeRunMetricsLegacy(sys, c));
+}
+
+/** Unsigned integers survive a JSON write/parse round trip exactly,
+ *  including values a double rounds (2^53 + 1, 2^64 - 1). */
+TEST(Json, U64RoundTripIsExact)
+{
+    for (const std::uint64_t v :
+         {std::uint64_t{0}, std::uint64_t{9007199254740993ULL},
+          std::uint64_t{18446744073709551615ULL}}) {
+        std::ostringstream os;
+        {
+            JsonWriter w(os, 0);
+            w.beginObject();
+            w.member("v", v);
+            w.endObject();
+        }
+        std::string err;
+        const JsonValue doc = parseJson(os.str(), &err);
+        ASSERT_TRUE(err.empty()) << err;
+        EXPECT_EQ(doc.at("v").asU64(), v) << os.str();
+    }
+}
+
+/** asU64 refuses values with no exact u64 representation with a
+ *  typed error instead of casting (UB at 2^64) or exiting. */
+TEST(Json, U64RejectsFractionalNegativeAndOverflow)
+{
+    for (const char *text :
+         {"0.5", "-1", "-0.5", "18446744073709551616", "1e20", "\"7\""}) {
+        const JsonValue v = parseJson(text);
+        EXPECT_THROW(v.asU64(), ConfigError) << text;
+    }
+    // Integral values in other spellings still convert.
+    EXPECT_EQ(parseJson("4096.0").asU64(), 4096u);
+    EXPECT_EQ(parseJson("1e3").asU64(), 1000u);
+    // A double keeps reading the rounded value.
+    EXPECT_EQ(parseJson("9007199254740993").asDouble(), 9007199254740992.0);
 }
 
 } // namespace

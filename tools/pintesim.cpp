@@ -20,33 +20,24 @@
  *   pintesim -w 450.soplex --sweep --format=csv --out sweep.csv
  */
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
 
 #include "analysis/sensitivity.hh"
 #include "common/error.hh"
 #include "common/invariant.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/trace_events.hh"
-#include "sim/broker.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "sim/hotpath_bench.hh"
-#include "sim/journal.hh"
 #include "sim/options.hh"
 #include "sim/report.hh"
-#include "sim/runner.hh"
 #include "sim/sink.hh"
 #include "sim/watchdog.hh"
-#include "sim/worker_proc.hh"
 
 using namespace pinte;
 
@@ -63,7 +54,7 @@ usage()
         "      --sweep           run the standard 12-point P sweep\n"
         "      --pair NAME       2nd-Trace co-run instead of PInTE\n"
         "      --isolation       no contention at all\n"
-        "      --isolation=K     campaign backend for --sweep: thread\n"
+        "      --isolation=K     --sweep/--policies backend: thread\n"
         "                        (in-process pool, default), process\n"
         "                        (fork-isolated workers: crashes and\n"
         "                        hard hangs become quarantined cells),\n"
@@ -96,8 +87,8 @@ usage()
         "                        isolation baseline plus the standard\n"
         "                        12-point P sweep, then a per-policy\n"
         "                        contention-class table with deltas\n"
-        "                        against the first policy (thread\n"
-        "                        backend only)\n",
+        "                        against the first policy (runs on\n"
+        "                        every --isolation=K backend)\n",
         replacementValidValues().c_str());
     std::printf(
         "      --inclusion K     llc inclusion: non inclusive exclusive\n"
@@ -151,254 +142,25 @@ usage()
         "      --help            this text\n");
 }
 
-} // namespace
-
-namespace
-{
-
-/**
- * Everything a sweep cell's identity depends on, in a form that
- * round-trips through the spool's campaign document: the raw CLI
- * strings for enum-valued machine knobs (so the worker re-parses
- * exactly what the broker's user typed) plus the numeric scale
- * parameters. A spool worker rebuilds its machine, cell grid and
- * journal keys from this alone; the machine fingerprint and per-cell
- * key checks then prove the reconstruction is exact.
- */
-struct SweepConfig
-{
-    std::string workload = "450.soplex";
-    std::string policy;    //!< --policy, empty = machine default
-    std::string inclusion; //!< --inclusion
-    std::string prefetch;  //!< --prefetch
-    std::string predictor; //!< --predictor
-    std::string scope;     //!< --scope, empty = not set
-    double dramFactor = 0.0;
-    ExperimentParams params;
-    double jobTimeout = 0.0;
-    double leaseTtl = 30.0;
-};
-
-/** The machine a SweepConfig describes. */
-MachineConfig
-sweepMachine(const SweepConfig &sc)
-{
-    MachineConfig m = MachineConfig::scaled();
-    if (!sc.policy.empty())
-        m.llc.replacement = parseReplacement(sc.policy);
-    if (!sc.inclusion.empty())
-        m.llc.inclusion = parseInclusion(sc.inclusion);
-    if (!sc.prefetch.empty())
-        m.prefetch = PrefetchConfig::parse(sc.prefetch.c_str());
-    if (!sc.predictor.empty())
-        m.core.predictor = parsePredictor(sc.predictor);
-    return m;
-}
-
-/** One sweep cell: the spec for induction probability `p`. */
-ExperimentSpec
-sweepCell(const MachineConfig &machine, const WorkloadSpec &spec,
-          const SweepConfig &sc, double p)
-{
-    ExperimentSpec e(machine);
-    e.workload(spec).pinte(p).params(sc.params);
-    if (!sc.scope.empty())
-        e.scope(parsePInteScope(sc.scope));
-    if (sc.dramFactor > 0.0)
-        e.dramComplement(sc.dramFactor);
-    return e;
-}
-
-std::string
-sweepConfigToJson(const SweepConfig &sc)
-{
-    std::ostringstream os;
-    {
-        JsonWriter w(os, 0);
-        w.beginObject();
-        w.member("workload", sc.workload);
-        w.member("policy", sc.policy);
-        w.member("inclusion", sc.inclusion);
-        w.member("prefetch", sc.prefetch);
-        w.member("predictor", sc.predictor);
-        w.member("scope", sc.scope);
-        w.member("dram_factor", sc.dramFactor);
-        w.member("warmup", static_cast<std::uint64_t>(sc.params.warmup));
-        w.member("roi", static_cast<std::uint64_t>(sc.params.roi));
-        w.member("sample_every",
-                 static_cast<std::uint64_t>(sc.params.sampleEvery));
-        w.member("sample_interval_cycles",
-                 sc.params.sampleIntervalCycles);
-        w.member("sample_mode", toString(sc.params.sampling.mode));
-        w.member("sample_interval_length",
-                 static_cast<std::uint64_t>(
-                     sc.params.sampling.intervalLength));
-        w.member("sample_detailed_fraction",
-                 sc.params.sampling.detailedFraction);
-        w.member("sampling_seed", sc.params.sampling.seed);
-        w.member("run_seed", sc.params.runSeed);
-        w.member("job_timeout", sc.jobTimeout);
-        w.member("lease_ttl", sc.leaseTtl);
-        w.endObject();
-    }
-    return os.str();
-}
-
-SweepConfig
-sweepConfigFromJson(const JsonValue &v)
-{
-    SweepConfig sc;
-    sc.workload = v.at("workload").asString();
-    sc.policy = v.at("policy").asString();
-    sc.inclusion = v.at("inclusion").asString();
-    sc.prefetch = v.at("prefetch").asString();
-    sc.predictor = v.at("predictor").asString();
-    sc.scope = v.at("scope").asString();
-    sc.dramFactor = v.at("dram_factor").asDouble();
-    sc.params.warmup = v.at("warmup").asU64();
-    sc.params.roi = v.at("roi").asU64();
-    sc.params.sampleEvery = v.at("sample_every").asU64();
-    sc.params.sampleIntervalCycles =
-        v.at("sample_interval_cycles").asU64();
-    sc.params.sampling.mode =
-        parseSampleMode(v.at("sample_mode").asString());
-    sc.params.sampling.intervalLength =
-        v.at("sample_interval_length").asU64();
-    sc.params.sampling.detailedFraction =
-        v.at("sample_detailed_fraction").asDouble();
-    sc.params.sampling.seed = v.at("sampling_seed").asU64();
-    sc.params.runSeed = v.at("run_seed").asU64();
-    sc.jobTimeout = v.at("job_timeout").asDouble();
-    sc.leaseTtl = v.at("lease_ttl").asDouble();
-    return sc;
-}
-
-/** Strip the newlines JsonWriter emits even at indent 0. */
-std::string
-flattenJson(const std::string &text)
-{
-    std::string flat;
-    flat.reserve(text.size());
-    for (const char c : text)
-        if (c != '\n')
-            flat += c;
-    return flat;
-}
-
-/** The spool campaign document: identity (fingerprint + the full
- *  cell-key list) plus the spec workers rebuild their grid from. */
-std::string
-campaignDocument(const std::string &fingerprint, const SweepConfig &sc,
-                 const std::vector<std::string> &keys)
-{
-    std::string doc = "{\"schema\": \"pinte.spool.campaign\", "
-                      "\"tool\": \"pintesim\", \"fingerprint\": " +
-                      jsonQuote(fingerprint) +
-                      ", \"spec\": " + flattenJson(sweepConfigToJson(sc)) +
-                      ", \"cells\": [";
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (k)
-            doc += ", ";
-        doc += jsonQuote(keys[k]);
-    }
-    doc += "]}";
-    return doc;
-}
-
-/**
- * Spool worker entry (`pintesim --worker --spool DIR`): rebuild the
- * campaign from the spool's document, verify this binary derives the
- * same machine fingerprint and cell keys (config-skew fencing), then
- * claim and execute shards until the campaign completes.
- */
-int
-spoolWorkerMain(const std::string &spool_dir)
-{
-    Spool spool(spool_dir);
-    // A hand-started worker may beat the broker to the spool: wait
-    // for the campaign document rather than failing the race.
-    while (!spool.hasCampaign()) {
-        if (spool.complete())
-            return 0;
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    std::string err;
-    const JsonValue doc = parseJson(spool.readCampaign(), &err);
-    if (!err.empty() || !doc.isObject())
-        throw ConfigError("spool campaign document unparseable: " + err,
-                          {"pintesim", spool_dir, ""});
-    const SweepConfig sc = sweepConfigFromJson(doc.at("spec"));
-    const MachineConfig machine = sweepMachine(sc);
-    const std::string fp = machine.fingerprint();
-    if (doc.at("fingerprint").asString() != fp)
-        throw ConfigError(
-            "campaign fingerprint mismatch: this build derives " + fp +
-                ", campaign carries " +
-                doc.at("fingerprint").asString(),
-            {"pintesim", spool_dir, fp});
-    const WorkloadSpec spec = findWorkload(sc.workload);
-    const auto &points = standardPInduceSweep();
-    std::vector<std::string> keys(points.size());
-    for (std::size_t k = 0; k < points.size(); ++k)
-        keys[k] = journalKey(
-            fp, sc.params, spec.name,
-            sweepCell(machine, spec, sc, points[k]).contention());
-    const JsonValue &cells = doc.at("cells");
-    if (cells.array.size() != keys.size())
-        throw ConfigError("campaign cell count mismatch",
-                          {"pintesim", spool_dir, ""});
-    for (std::size_t k = 0; k < keys.size(); ++k)
-        if (cells.array[k].asString() != keys[k])
-            throw ConfigError("campaign cell key mismatch at index " +
-                                  std::to_string(k),
-                              {"pintesim", spool_dir, keys[k]});
-
-    SpoolWorkerOptions wopt;
-    wopt.leaseTtl = sc.leaseTtl;
-    wopt.jobTimeout = sc.jobTimeout;
-    wopt.fingerprint = fp;
-    runSpoolWorker(
-        spool_dir, keys,
-        [&](std::size_t k) {
-            return sweepCell(machine, spec, sc, points[k])
-                .tryRun()
-                .result;
-        },
-        wopt);
-    return 0;
-}
-
 int
 pinteMain(int argc, char **argv)
 {
-    std::string workload = "450.soplex";
     std::optional<double> pinduce;
     std::optional<std::string> pair;
     bool isolation = false, sweep = false;
     bool report = false;
-    bool scope_set = false;
-    unsigned jobs = 0;
-    double job_timeout = 0.0;
-    IsolationMode iso_mode = IsolationMode::Thread;
-    std::uint32_t max_retries = 1;
     bool retries_set = false;
     bool worker_mode = false;
-    std::string spool_dir;
-    std::size_t shard_size = 1;
-    double lease_ttl = 30.0;
-    SweepConfig sweep_cfg; // raw machine-knob strings for the spool
-                           // campaign document (--isolation=spool)
-    std::vector<ReplacementKind> grid_policies; // --policies grid
+    SweepConfig sc; // workload, machine knobs and scale of every mode
+    ExperimentParams &params = sc.params;
+    CampaignOptions backend; // --sweep's campaign backend
+    PInteScope scope = PInteScope::LlcOnly;
     std::string resume_path;
     bool bench_baseline = false;
     HotpathOptions bench_opt;
-    double dram_factor = 0.0;
-    PInteScope scope = PInteScope::LlcOnly;
     ReportFormat format = ReportFormat::Table;
     std::string out_path;
     std::string trace_path;
-    MachineConfig machine = MachineConfig::scaled();
-    ExperimentParams params;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -423,7 +185,7 @@ pinteMain(int argc, char **argv)
         };
 
         if (a == "-w" || a == "--workload") {
-            workload = need();
+            sc.workload = need();
         } else if (a == "-p" || a == "--pinduce") {
             pinduce = parseProbability(need());
         } else if (a == "--sweep") {
@@ -434,46 +196,41 @@ pinteMain(int argc, char **argv)
         } else if (a == "--isolation") {
             // Bare --isolation is the historical no-contention run
             // mode; with an inline value it selects the campaign
-            // backend instead (--isolation=thread|process).
+            // backend instead (--isolation=thread|process|spool).
             if (inline_val)
-                iso_mode = parseIsolation(*inline_val);
+                backend.mode = parseIsolation(*inline_val);
             else
                 isolation = true;
         } else if (a == "--max-retries") {
-            max_retries = parseRetries(a, need());
+            backend.maxRetries = parseRetries(a, need());
             retries_set = true;
         } else if (a == "--worker") {
             flag();
             worker_mode = true;
         } else if (a == "--spool") {
-            spool_dir = need();
+            backend.spool = need();
         } else if (a == "--shard-size") {
-            shard_size =
+            backend.shardSize =
                 static_cast<std::size_t>(parseCount(a, need()));
         } else if (a == "--lease-ttl") {
-            lease_ttl = static_cast<double>(parseTimeout(a, need()));
+            sc.leaseTtl = static_cast<double>(parseTimeout(a, need()));
         } else if (a == "--policy" || a == "--llc-policy") {
-            sweep_cfg.policy = need();
-            machine.llc.replacement = parseReplacement(sweep_cfg.policy);
+            sc.policy = need();
         } else if (a == "--policies") {
-            grid_policies = parseReplacementList(need());
+            sc.policies.clear();
+            for (const ReplacementKind kind : parseReplacementList(need()))
+                sc.policies.push_back(replacementCliName(kind));
         } else if (a == "--inclusion") {
-            sweep_cfg.inclusion = need();
-            machine.llc.inclusion = parseInclusion(sweep_cfg.inclusion);
+            sc.inclusion = need();
         } else if (a == "--prefetch") {
-            sweep_cfg.prefetch = need();
-            machine.prefetch =
-                PrefetchConfig::parse(sweep_cfg.prefetch.c_str());
+            sc.prefetch = need();
         } else if (a == "--predictor") {
-            sweep_cfg.predictor = need();
-            machine.core.predictor =
-                parsePredictor(sweep_cfg.predictor);
+            sc.predictor = need();
         } else if (a == "--scope") {
-            sweep_cfg.scope = need();
-            scope = parsePInteScope(sweep_cfg.scope);
-            scope_set = true;
+            sc.scope = need();
+            scope = parsePInteScope(sc.scope);
         } else if (a == "--dram-complement") {
-            dram_factor = parseReal(a, need());
+            sc.dramFactor = parseReal(a, need());
         } else if (a == "--warmup") {
             params.warmup = parseCount(a, need());
         } else if (a == "--roi") {
@@ -499,9 +256,9 @@ pinteMain(int argc, char **argv)
         } else if (a == "--seed") {
             params.runSeed = parseCount(a, need());
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(parseCount(a, need()));
+            backend.jobs = static_cast<unsigned>(parseCount(a, need()));
         } else if (a == "--job-timeout") {
-            job_timeout =
+            sc.jobTimeout =
                 static_cast<double>(parseTimeout(a, need()));
         } else if (a == "--paranoid") {
             // Value is optional: a bare --paranoid must not consume
@@ -549,37 +306,28 @@ pinteMain(int argc, char **argv)
         }
     }
 
+    const MachineConfig machine = sweepMachine(sc);
+    const IsolationMode iso_mode = backend.mode;
     if (worker_mode) {
         // A spool worker takes its whole configuration from the
         // campaign document; the CLI only locates the spool.
-        if (spool_dir.empty())
+        if (backend.spool.empty())
             throw ConfigError("--worker requires --spool",
                               {"options", "--worker", ""});
-        return spoolWorkerMain(spool_dir);
+        return spoolWorkerMain(backend.spool);
     }
-    if (!grid_policies.empty()) {
-        if (!sweep)
-            throw ConfigError("--policies is a --sweep policy grid; "
-                              "add --sweep",
-                              {"options", "--policies", ""});
-        if (iso_mode != IsolationMode::Thread)
-            throw ConfigError(
-                "--policies runs on the thread backend only (the "
-                "process and spool campaign documents carry a single "
-                "machine fingerprint, and the grid needs one machine "
-                "per policy)",
-                {"options", "--policies", ""});
-    }
-    if (iso_mode == IsolationMode::Process && !sweep)
-        throw ConfigError("--isolation=process is a campaign backend "
-                          "and requires --sweep",
-                          {"options", "--isolation", "process"});
+    if (!sc.policies.empty() && !sweep)
+        throw ConfigError("--policies is a --sweep policy grid; "
+                          "add --sweep",
+                          {"options", "--policies", ""});
+    if (iso_mode != IsolationMode::Thread && !sweep)
+        throw ConfigError(std::string("--isolation=") +
+                              toString(iso_mode) +
+                              " is a campaign backend and requires "
+                              "--sweep",
+                          {"options", "--isolation", toString(iso_mode)});
     if (iso_mode == IsolationMode::Spool) {
-        if (!sweep)
-            throw ConfigError("--isolation=spool is a campaign "
-                              "backend and requires --sweep",
-                              {"options", "--isolation", "spool"});
-        if (spool_dir.empty())
+        if (backend.spool.empty())
             throw ConfigError("--isolation=spool requires --spool",
                               {"options", "--isolation", "spool"});
         if (!params.checkpointPath.empty())
@@ -587,10 +335,10 @@ pinteMain(int argc, char **argv)
                               "--isolation=spool (checkpoints are "
                               "per-process artifacts)",
                               {"options", "--checkpoint", ""});
-    } else if (!spool_dir.empty()) {
+    } else if (!backend.spool.empty()) {
         throw ConfigError("--spool requires --isolation=spool or "
                           "--worker",
-                          {"options", "--spool", spool_dir});
+                          {"options", "--spool", backend.spool});
     }
     if (retries_set && iso_mode != IsolationMode::Process &&
         iso_mode != IsolationMode::Spool)
@@ -600,29 +348,11 @@ pinteMain(int argc, char **argv)
                           {"options", "--max-retries", ""});
 
     if (bench_baseline) {
-        // tools/bench_baseline mode: measure the pinned hot-path
-        // kernels and merge the batch into the baseline document,
-        // replacing rows that carry the same label.
-        const std::string bench_out =
-            out_path.empty() ? "BENCH_hotpath.json" : out_path;
-        std::vector<HotpathEntry> merged =
-            loadHotpathBaseline(bench_out);
-        std::erase_if(merged, [&](const HotpathEntry &e) {
-            return e.label == bench_opt.label;
-        });
-        const auto batch = runHotpathSuite(bench_opt);
-        merged.insert(merged.end(), batch.begin(), batch.end());
-        Report bench_rep(ReportFormat::Json, bench_out,
-                         {"pintesim", hotpathMachine().fingerprint(),
-                          ExperimentParams{}});
-        bench_rep->table(hotpathTable(merged));
-        bench_rep.close();
-        for (const auto &e : batch)
-            std::fprintf(stderr,
-                         "bench-baseline: %-12s best %9.6f s  "
-                         "%12.0f /s\n",
-                         e.kernel.c_str(), e.bestWallSeconds,
-                         e.ratePerSecond);
+        // Measure the pinned hot-path kernels and merge the batch into
+        // the baseline document, replacing rows with the same label.
+        recordHotpathBaseline(
+            out_path.empty() ? "BENCH_hotpath.json" : out_path,
+            bench_opt, "pintesim");
         return 0;
     }
 
@@ -631,7 +361,7 @@ pinteMain(int argc, char **argv)
     if (!params.checkpointPath.empty() && params.checkpointEvery == 0)
         params.checkpointEvery = std::max<InstCount>(1, params.roi / 10);
 
-    const WorkloadSpec spec = findWorkload(workload);
+    const WorkloadSpec spec = findWorkload(sc.workload);
 
     // Arm event tracing for the rest of the process; the guard writes
     // the collected trace on every exit path (including exceptions
@@ -667,9 +397,9 @@ pinteMain(int argc, char **argv)
             m.pinte.pInduce = *pinduce;
             m.pinteScope = scope;
         }
-        if (dram_factor > 0.0 && pinduce)
+        if (sc.dramFactor > 0.0 && pinduce)
             m.dram.contentionExtra =
-                static_cast<Cycle>(*pinduce * dram_factor);
+                static_cast<Cycle>(*pinduce * sc.dramFactor);
         TraceGenerator gen(spec);
         System sys(m, {&gen});
         {
@@ -695,292 +425,63 @@ pinteMain(int argc, char **argv)
 
     // Single runs execute on this thread; arm the hang watchdog here
     // (sweep workers re-arm per job via the Runner).
-    if (job_timeout > 0.0)
-        JobWatchdog::arm(job_timeout);
+    if (sc.jobTimeout > 0.0)
+        JobWatchdog::arm(sc.jobTimeout);
 
     Report rep(format, out_path,
                {"pintesim", machine.fingerprint(), params});
-    auto emit = [&](const RunResult &r) { rep->run(r); };
 
-    if (pair) {
-        const auto results = ExperimentSpec(machine)
-                                 .workload(spec)
-                                 .secondTrace(findWorkload(*pair))
-                                 .params(params)
-                                 .runAll();
-        for (const auto &r : results)
-            emit(r);
+    if (pair || isolation || !sweep) {
+        // One experiment: a 2nd-Trace pair, or the workload alone or
+        // under PInTE at -p.
+        const ExperimentSpec e =
+            pair ? ExperimentSpec(machine)
+                       .workload(spec)
+                       .secondTrace(findWorkload(*pair))
+                       .params(params)
+                 : makeCell(sc, machine,
+                            isolation ? std::nullopt : pinduce)
+                       .spec;
+        for (const auto &r : e.runAll())
+            rep->run(r);
         rep.close();
         return 0;
     }
 
-    if (isolation || (!pinduce && !sweep)) {
-        emit(ExperimentSpec(machine)
-                 .workload(spec)
-                 .params(params)
-                 .run());
-        rep.close();
-        return 0;
+    // The sweep or policy grid on the selected backend: a faulting
+    // cell is quarantined as "failed" while every other completes.
+    std::unique_ptr<RunJournal> journal;
+    if (!resume_path.empty())
+        journal = std::make_unique<RunJournal>(resume_path);
+    const auto results = runCampaign(sc, backend, journal.get());
+    std::size_t failed = 0;
+    for (const auto &r : results) {
+        if (r.failed())
+            ++failed;
+        rep->run(r);
     }
+    rep.close();
 
-    auto build = [&](double p) {
-        ExperimentSpec e(machine);
-        e.workload(spec).pinte(p).params(params);
-        // Unlike the old run* entry points, scope and the DRAM
-        // complement compose instead of the scope being silently
-        // dropped.
-        if (scope_set)
-            e.scope(scope);
-        if (dram_factor > 0.0)
-            e.dramComplement(dram_factor);
-        return e;
-    };
-
-    if (sweep) {
-        // The sweep's 12 configurations are independent simulations;
-        // run them across the worker pool and emit in sweep order.
-        // Jobs are fault-isolated: a faulting point becomes a
-        // quarantined "failed" cell in the report while every other
-        // point completes.
-        std::unique_ptr<RunJournal> journal;
-        if (!resume_path.empty())
-            journal = std::make_unique<RunJournal>(resume_path);
-
-        if (!grid_policies.empty()) {
-            // PInTE × policy grid: one machine per replacement policy,
-            // and per policy an isolation baseline (cell 0) plus the
-            // standard 12-point P sweep. Every cell is an independent
-            // job on the thread pool; each policy's sweep samples are
-            // weighted against that same policy's isolation run (a
-            // policy competes with itself unloaded, not with another
-            // policy's baseline), pooled into one contention curve and
-            // classified, with deltas against the first policy. The
-            // journal composes: per-policy machine fingerprints keep
-            // the cell keys distinct.
-            const auto &points = standardPInduceSweep();
-            const std::size_t per_policy = 1 + points.size();
-            std::vector<MachineConfig> machines;
-            std::vector<std::string> fps;
-            machines.reserve(grid_policies.size());
-            for (const ReplacementKind kind : grid_policies) {
-                MachineConfig m = machine;
-                m.llc.replacement = kind;
-                fps.push_back(m.fingerprint());
-                machines.push_back(m);
-            }
-            auto buildCell = [&](std::size_t pol, std::size_t idx) {
-                ExperimentSpec e(machines[pol]);
-                e.workload(spec).params(params);
-                if (idx > 0) {
-                    e.pinte(points[idx - 1]);
-                    if (scope_set)
-                        e.scope(scope);
-                    if (dram_factor > 0.0)
-                        e.dramComplement(dram_factor);
-                }
-                return e;
-            };
-            Runner runner(jobs);
-            runner.jobTimeout(job_timeout);
-            const auto flat = runner.map(
-                grid_policies.size() * per_policy,
-                [&](std::size_t c) {
-                    const std::size_t pol = c / per_policy;
-                    const std::size_t idx = c % per_policy;
-                    const ExperimentSpec e = buildCell(pol, idx);
-                    const std::string key = journalKey(
-                        fps[pol], params, spec.name, e.contention());
-                    if (journal)
-                        if (const RunResult *done = journal->find(key))
-                            return *done;
-                    RunOutcome o = e.tryRun();
-                    if (journal && o.ok())
-                        journal->record(key, o.result);
-                    return std::move(o.result);
-                });
-
-            std::vector<PolicyCurve> grid;
-            std::size_t grid_failed = 0;
-            for (std::size_t pol = 0; pol < grid_policies.size();
-                 ++pol) {
-                const char *pname =
-                    replacementCliName(grid_policies[pol]);
-                const RunResult &iso = flat[pol * per_policy];
-                PolicyCurve curve;
-                curve.policy = pname;
-                for (std::size_t idx = 0; idx < per_policy; ++idx) {
-                    const RunResult &r = flat[pol * per_policy + idx];
-                    if (r.failed())
-                        ++grid_failed;
-                    // Policy-qualified contention labels keep the
-                    // grid's rows apart in the one shared report.
-                    RunResult tagged = r;
-                    tagged.contention =
-                        std::string(pname) + ":" + tagged.contention;
-                    emit(tagged);
-                    if (idx == 0 || r.failed() || iso.failed())
-                        continue;
-                    const std::size_t n = std::min(
-                        r.samples.size(), iso.samples.size());
-                    for (std::size_t s = 0; s < n; ++s)
-                        curve.weightedIpc.push_back(weightedIpc(
-                            r.samples[s].ipc, iso.samples[s].ipc));
-                }
-                grid.push_back(std::move(curve));
-            }
-            rep.close();
-
-            const auto table = classifyPolicyGrid(grid);
-            std::printf(
-                "policy grid: %s, TPL %.0f%% (deltas vs %s)\n",
-                spec.name.c_str(), defaultTpl * 100,
-                table.empty() ? "-" : table.front().policy.c_str());
-            std::printf("  %-8s %-6s %10s %8s %6s\n", "policy",
-                        "class", "sensitive", "delta", "shift");
-            for (const auto &row : table)
-                std::printf("  %-8s %-6s %9.1f%% %+7.1f%% %+6d\n",
-                            row.policy.c_str(), toString(row.cls),
-                            row.sensitiveFraction * 100,
-                            row.deltaFraction * 100, row.classShift);
-            if (grid_failed) {
-                std::fprintf(
-                    stderr, "pintesim: %zu of %zu grid jobs failed\n",
-                    grid_failed, grid_policies.size() * per_policy);
-                return 1;
-            }
-            return 0;
-        }
-
-        const std::string fp = machine.fingerprint();
-        auto oneTry = [&](double p) {
-            const ExperimentSpec e = build(p);
-            const std::string key =
-                journalKey(fp, params, spec.name, e.contention());
-            if (journal)
-                if (const RunResult *done = journal->find(key))
-                    return *done;
-            RunOutcome o = e.tryRun();
-            if (journal && o.ok())
-                journal->record(key, o.result);
-            return std::move(o.result);
-        };
-
-        const auto &points = standardPInduceSweep();
-        std::vector<RunResult> results;
-        if (iso_mode == IsolationMode::Spool) {
-            // Durable file-queue backend: shards published to the
-            // spool, claimed by worker processes (locally spawned
-            // and/or started by hand as `pintesim --worker --spool
-            // DIR`), merged as results stream back. Journal hits
-            // resolve in the broker without touching the spool; fresh
-            // results journal on arrival, so --resume works across
-            // broker restarts exactly like the other backends.
-            sweep_cfg.workload = spec.name;
-            sweep_cfg.dramFactor = dram_factor;
-            sweep_cfg.params = params;
-            sweep_cfg.jobTimeout = job_timeout;
-            sweep_cfg.leaseTtl = lease_ttl;
-            std::vector<std::string> keys(points.size());
-            for (std::size_t k = 0; k < points.size(); ++k)
-                keys[k] = journalKey(fp, params, spec.name,
-                                     build(points[k]).contention());
-            BrokerOptions bopt;
-            bopt.spool = spool_dir;
-            bopt.workers =
-                jobs ? jobs
-                     : std::max(1u,
-                                std::thread::hardware_concurrency());
-            // argv[0] may be a bare name found via PATH; workers are
-            // exec'd directly, so resolve our own binary first (the
-            // broker falls back to an execvp PATH search anyway).
-            std::string self = argv[0];
-            {
-                char exe[4096];
-                const ::ssize_t len =
-                    ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-                if (len > 0)
-                    self.assign(exe, static_cast<std::size_t>(len));
-            }
-            bopt.workerArgv = {self, "--worker", "--spool",
-                               spool_dir};
-            bopt.leaseTtl = lease_ttl;
-            bopt.maxRetries = max_retries;
-            bopt.shardSize = shard_size;
-            results = runSpoolBroker(
-                campaignDocument(fp, sweep_cfg, keys), fp, keys, bopt,
-                [&](std::size_t k, RunResult &r) {
-                    r.workload = spec.name;
-                    r.contention = build(points[k]).contention();
-                },
-                [&](std::size_t k, const RunResult &r) {
-                    if (journal && !r.failed())
-                        journal->record(keys[k], r);
-                },
-                [&](std::size_t k) {
-                    return journal ? journal->find(keys[k]) : nullptr;
-                });
-        } else if (iso_mode == IsolationMode::Process) {
-            // Fork-isolated backend: the parent resolves journal hits
-            // up front, workers execute only the pending cells, and
-            // each result merges into the journal as it arrives so an
-            // interrupted campaign still supports --resume.
-            results.resize(points.size());
-            std::vector<std::size_t> pending;
-            std::vector<std::string> keys(points.size());
-            for (std::size_t k = 0; k < points.size(); ++k) {
-                keys[k] = journalKey(fp, params, spec.name,
-                                     build(points[k]).contention());
-                const RunResult *done =
-                    journal ? journal->find(keys[k]) : nullptr;
-                if (done)
-                    results[k] = *done;
-                else
-                    pending.push_back(k);
-            }
-            ProcOptions popt;
-            popt.workers = jobs;
-            popt.jobTimeout = job_timeout;
-            popt.maxRetries = max_retries;
-            const auto fresh = runProcessCampaign(
-                pending.size(),
-                [&](std::size_t j) {
-                    return build(points[pending[j]]).tryRun().result;
-                },
-                popt,
-                [&](std::size_t j, RunResult &r) {
-                    r.workload = spec.name;
-                    r.contention =
-                        build(points[pending[j]]).contention();
-                },
-                [&](std::size_t j, const RunResult &r) {
-                    if (journal && !r.failed())
-                        journal->record(keys[pending[j]], r);
-                });
-            for (std::size_t j = 0; j < pending.size(); ++j)
-                results[pending[j]] = fresh[j];
-        } else {
-            Runner runner(jobs);
-            runner.jobTimeout(job_timeout);
-            results = runner.map(
-                points.size(),
-                [&](std::size_t k) { return oneTry(points[k]); });
-        }
-        std::size_t failed = 0;
-        for (const auto &r : results) {
-            if (r.failed())
-                ++failed;
-            emit(r);
-        }
-        rep.close();
-        if (failed) {
-            std::fprintf(stderr,
-                         "pintesim: %zu of %zu sweep jobs failed\n",
-                         failed, results.size());
-            return 1;
-        }
-    } else {
-        emit(build(*pinduce).run());
-        rep.close();
+    if (!sc.policies.empty()) {
+        // Per policy one pooled contention curve, classified, with
+        // deltas against the first policy.
+        const auto table = classifyPolicyGrid(policyCurves(sc, results));
+        std::printf("policy grid: %s, TPL %.0f%% (deltas vs %s)\n",
+                    spec.name.c_str(), defaultTpl * 100,
+                    table.empty() ? "-" : table.front().policy.c_str());
+        std::printf("  %-8s %-6s %10s %8s %6s\n", "policy", "class",
+                    "sensitive", "delta", "shift");
+        for (const auto &row : table)
+            std::printf("  %-8s %-6s %9.1f%% %+7.1f%% %+6d\n",
+                        row.policy.c_str(), toString(row.cls),
+                        row.sensitiveFraction * 100,
+                        row.deltaFraction * 100, row.classShift);
+    }
+    if (failed) {
+        std::fprintf(stderr, "pintesim: %zu of %zu %s jobs failed\n",
+                     failed, results.size(),
+                     sc.policies.empty() ? "sweep" : "grid");
+        return 1;
     }
     return 0;
 }
