@@ -227,8 +227,17 @@ struct SampledStat
 {
     std::string name;  //!< e.g. "ipc", "llc_mpki"
     double mean = 0.0; //!< mean over detailed intervals
-    double ci95 = 0.0; //!< 95% confidence half-width (1.96 * SEM)
+    double ci95 = 0.0; //!< 95% CI half-width (t(n-1) * SEM)
 };
+
+/** Upper 97.5% quantile of Student's t at `df` degrees of freedom
+ *  (the two-sided 95% multiplier); 0 when df is 0. */
+double studentT975(std::size_t df);
+
+/** Mean and 95% confidence half-width (Student's t at n-1 df) of
+ *  per-interval values. */
+SampledStat summarizeIntervals(const std::string &name,
+                               const std::vector<double> &vals);
 
 /**
  * Whole-run estimates of a sampled (interval-engine) run: each metric

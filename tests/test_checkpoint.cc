@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <vector>
@@ -715,4 +716,26 @@ TEST(SampledRun, DetailedRunCarriesNoSampledSection)
                             .run();
     EXPECT_FALSE(r.sampled.enabled());
     EXPECT_TRUE(r.sampled.stats.empty());
+}
+
+TEST(SampledRun, ConfidenceIntervalUsesStudentT)
+{
+    // n = 3 has 2 degrees of freedom: t = 4.303, not the normal 1.96.
+    const SampledStat s = summarizeIntervals("x", {1.0, 2.0, 3.0});
+    EXPECT_DOUBLE_EQ(s.mean, 2.0);
+    EXPECT_NEAR(s.ci95, 4.303 / std::sqrt(3.0), 1e-3);
+
+    EXPECT_NEAR(studentT975(1), 12.706, 1e-3);
+    EXPECT_NEAR(studentT975(14), 2.145, 1e-3);
+    EXPECT_NEAR(studentT975(30), 2.042, 1e-3);
+    // Beyond the table the expansion continues the sequence and
+    // converges to the normal quantile.
+    EXPECT_NEAR(studentT975(31), 2.0395, 1e-3);
+    EXPECT_NEAR(studentT975(60), 2.000, 1e-3);
+    EXPECT_NEAR(studentT975(120), 1.980, 1e-3);
+    EXPECT_NEAR(studentT975(1000000), 1.960, 1e-3);
+    EXPECT_LT(studentT975(31), studentT975(30));
+
+    // One observation has no spread estimate.
+    EXPECT_EQ(summarizeIntervals("x", {5.0}).ci95, 0.0);
 }
