@@ -4,7 +4,9 @@
 # hot-path subsystem the engine refactors touch — all replacement
 # policies, every inclusion mode, prefetchers on and off, PInTE scopes,
 # pair co-runs, an isolation run, a sweep, a --policies contention
-# grid, and a full --report machine dump with paranoid audits — and
+# grid, a full --report machine dump with paranoid audits, and a
+# periodic interval-engine run (15 intervals, 3 detailed: functional
+# warming, the schedule and the Student's t CI) — and
 # asserts each JSON report is identical (modulo cpu_seconds, see
 # check_bitwise.py) to the golden captured in tests/golden/bitwise/
 # with the pre-refactor engine.
@@ -34,6 +36,7 @@ set(matrix
     "l2scope_sweep|-w|444.namd|--sweep|--scope|l2|--jobs|2|--seed|6"
     "lhd_pinte|-w|450.soplex|-p|0.3|--policy|lhd|--seed|8"
     "policy_grid|-w|450.soplex|--sweep|--policies|lru,drrip,lhd|--seed|9"
+    "sampled_periodic|-w|450.soplex|-p|0.3|--sample-mode|periodic|--sample-interval-length|2000|--sample-detailed-fraction|0.2|--seed|10"
 )
 
 foreach(entry IN LISTS matrix)
