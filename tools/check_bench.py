@@ -3,14 +3,18 @@
 
 Usage:
     check_bench.py [BENCH_hotpath.json]     # file, or stdin when omitted
-    check_bench.py --require-label pr6-post BENCH_hotpath.json
+
+BENCH_hotpath.json is frozen history: its best-of-N rows carry no host,
+compiler or build type, so nothing appends to it any more and speedups
+are stated through perfbench/ instead. This checker keeps the frozen
+file well-formed.
 
 A baseline is a pinte-report JSON document (any schema version this
-repo emits) whose tables contain exactly one "hotpath_bench" table.
+repo emits) whose tables contain exactly one table named TABLE below.
 Beyond report well-formedness the checker enforces what makes the file
 usable as a perf trajectory:
 
-  - the hotpath_bench columns are exactly label/kernel/work_items/
+  - that table's columns are exactly label/kernel/work_items/
     reps/best_wall_s/rate_per_s/checksum, in that order;
   - every cell is finite (NaN/Infinity rejected), wall times are
     strictly positive, work_items and checksums are integers;
@@ -25,8 +29,6 @@ usable as a perf trajectory:
     a kernel — but two labels measuring disjoint or partially
     overlapping suites would make the trajectory ambiguous.
 
---require-label LABEL additionally fails unless the given label is
-present (used by CI to prove a PR recorded its measurement point).
 Exit status 0 when the document conforms, 1 with a diagnostic per
 violation otherwise. Standard library only.
 """
@@ -114,7 +116,7 @@ class Checker:
                 )
         return (label, kernel)
 
-    def check_document(self, doc, require_label):
+    def check_document(self, doc):
         if not isinstance(doc, dict):
             self.error("$", "top level must be an object")
             return
@@ -187,24 +189,10 @@ class Checker:
                     ),
                 )
                 break
-        if require_label and require_label not in kernels_by_label:
-            self.error(
-                f"{tpath}.rows",
-                f"required label {require_label!r} absent "
-                f"(have {sorted(kernels_by_label)})",
-            )
 
 
 def main(argv):
     args = argv[1:]
-    require_label = None
-    if args and args[0] == "--require-label":
-        if len(args) < 2:
-            sys.stderr.write("check_bench: --require-label needs a "
-                             "value\n")
-            return 2
-        require_label = args[1]
-        args = args[2:]
     if len(args) > 1 or (args and args[0] in ("-h", "--help")):
         sys.stderr.write(__doc__)
         return 2
@@ -227,7 +215,7 @@ def main(argv):
         return 1
 
     checker = Checker()
-    checker.check_document(doc, require_label)
+    checker.check_document(doc)
     if checker.errors:
         for error in checker.errors:
             sys.stderr.write(f"check_bench: {source}: {error}\n")

@@ -33,7 +33,6 @@
 #include "common/trace_events.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
-#include "sim/hotpath_bench.hh"
 #include "sim/options.hh"
 #include "sim/report.hh"
 #include "sim/sink.hh"
@@ -128,12 +127,6 @@ usage()
         "run\n"
         "      --resume FILE     journal completed runs in FILE and\n"
         "                        serve already-journaled runs from it\n"
-        "      --bench-baseline[=LABEL]  run the pinned hot-path\n"
-        "                        perf kernels best-of-N and merge the\n"
-        "                        batch into --out (default\n"
-        "                        BENCH_hotpath.json); see EXPERIMENTS.md\n"
-        "      --bench-reps N    repetitions per kernel (default 5)\n"
-        "      --bench-quick     smoke-test kernel sizes (perf.smoke)\n"
         "      --format FMT      output format: table json csv\n"
         "      --out FILE        write the report to FILE\n"
         "      --json            shorthand for --format=json\n"
@@ -156,8 +149,6 @@ pinteMain(int argc, char **argv)
     CampaignOptions backend; // --sweep's campaign backend
     PInteScope scope = PInteScope::LlcOnly;
     std::string resume_path;
-    bool bench_baseline = false;
-    HotpathOptions bench_opt;
     ReportFormat format = ReportFormat::Table;
     std::string out_path;
     std::string trace_path;
@@ -267,18 +258,6 @@ pinteMain(int argc, char **argv)
                 a, inline_val ? *inline_val : ""));
         } else if (a == "--resume") {
             resume_path = need();
-        } else if (a == "--bench-baseline") {
-            // Label is optional: a bare --bench-baseline must not
-            // consume the next positional argument.
-            bench_baseline = true;
-            if (inline_val && !inline_val->empty())
-                bench_opt.label = *inline_val;
-        } else if (a == "--bench-reps") {
-            bench_opt.reps =
-                static_cast<unsigned>(parseCount(a, need()));
-        } else if (a == "--bench-quick") {
-            flag();
-            bench_opt.quick = true;
         } else if (a == "--format") {
             format = parseReportFormat(need());
         } else if (a == "--out") {
@@ -346,15 +325,6 @@ pinteMain(int argc, char **argv)
                           "--isolation=process or --isolation=spool "
                           "(the thread backend never retries)",
                           {"options", "--max-retries", ""});
-
-    if (bench_baseline) {
-        // Measure the pinned hot-path kernels and merge the batch into
-        // the baseline document, replacing rows with the same label.
-        recordHotpathBaseline(
-            out_path.empty() ? "BENCH_hotpath.json" : out_path,
-            bench_opt, "pintesim");
-        return 0;
-    }
 
     // A checkpoint path without an explicit cadence defaults to ten
     // checkpoints across the ROI.
