@@ -71,7 +71,7 @@ struct BenchOptions
         std::make_shared<std::atomic<std::size_t>>(0);
 
     /**
-     * Parse argv; unknown flags are fatal.
+     * Parse argv; unknown flags and missing values are a ConfigError.
      * @param default_full whether this bench wants the 49-entry zoo
      *        when neither --full nor --small is given (benches whose
      *        result is a population statistic default to full; sweeps
@@ -83,36 +83,48 @@ struct BenchOptions
         BenchOptions o;
         o.fullZoo = default_full;
         for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            if (a == "--full") {
+            // Valued flags take `--flag value` or `--flag=value`, as
+            // pintesim's do; switches take no value.
+            const std::string arg = argv[i];
+            const auto eq = arg.find('=');
+            const bool inline_val = eq != std::string::npos;
+            const std::string a = arg.substr(0, eq);
+            auto need = [&]() -> std::string {
+                if (inline_val)
+                    return arg.substr(eq + 1);
+                if (i + 1 >= argc)
+                    throw ConfigError("missing value for " + a,
+                                      {"bench", a, ""});
+                return argv[++i];
+            };
+            if (a == "--full" && !inline_val) {
                 o.fullZoo = true;
-            } else if (a == "--small") {
+            } else if (a == "--small" && !inline_val) {
                 o.fullZoo = false;
-            } else if (a == "--quiet") {
+            } else if (a == "--quiet" && !inline_val) {
                 o.quiet = true;
-            } else if (a.rfind("--jobs=", 0) == 0) {
-                o.jobs = static_cast<unsigned>(
-                    parseCount("--jobs", a.substr(7)));
-            } else if (a.rfind("--job-timeout=", 0) == 0) {
-                o.jobTimeout = parseReal("--job-timeout", a.substr(14));
-            } else if (a.rfind("--resume=", 0) == 0) {
-                o.journal = std::make_shared<RunJournal>(a.substr(9));
-            } else if (a.rfind("--roi=", 0) == 0) {
-                o.params.roi = parseCount("--roi", a.substr(6));
-            } else if (a.rfind("--warmup=", 0) == 0) {
-                o.params.warmup = parseCount("--warmup", a.substr(9));
-            } else if (a.rfind("--format=", 0) == 0) {
-                o.format = parseReportFormat(a.substr(9));
-            } else if (a.rfind("--out=", 0) == 0) {
-                o.outPath = a.substr(6);
+            } else if (a == "--jobs") {
+                o.jobs = static_cast<unsigned>(parseCount(a, need()));
+            } else if (a == "--job-timeout") {
+                o.jobTimeout = parseReal(a, need());
+            } else if (a == "--resume") {
+                o.journal = std::make_shared<RunJournal>(need());
+            } else if (a == "--roi") {
+                o.params.roi = parseCount(a, need());
+            } else if (a == "--warmup") {
+                o.params.warmup = parseCount(a, need());
+            } else if (a == "--format") {
+                o.format = parseReportFormat(need());
+            } else if (a == "--out") {
+                o.outPath = need();
             } else {
                 throw ConfigError(
-                    "unknown bench option: " + a +
-                        " (use --full/--small/--quiet/--jobs=N/"
-                        "--job-timeout=S/--resume=FILE/"
-                        "--roi=N/--warmup=N/--format=table|json|csv/"
-                        "--out=FILE)",
-                    {"bench", "", a});
+                    "unknown bench option: " + arg +
+                        " (use --full/--small/--quiet/--jobs N/"
+                        "--job-timeout S/--resume FILE/"
+                        "--roi N/--warmup N/--format table|json|csv/"
+                        "--out FILE; valued flags also take =)",
+                    {"bench", "", arg});
             }
         }
         return o;
